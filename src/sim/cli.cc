@@ -1,5 +1,6 @@
 #include "sim/cli.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <sstream>
@@ -98,12 +99,6 @@ cliUsage()
            "                       with its own controller (paper\n"
            "                       Table 2; N must divide the line\n"
            "                       count; default: flat cache)\n"
-           "  --shard-workers N    run the banks of a single\n"
-           "                       simulation on N worker threads\n"
-           "                       (requires --banks, N <= banks;\n"
-           "                       0 = serial, the default; results\n"
-           "                       and digests are identical for\n"
-           "                       every value)\n"
            "  --no-ucp             static equal allocations\n"
            "  --repartition N      UCP interval in cycles\n"
            "\n"
@@ -319,14 +314,6 @@ parseCli(const std::vector<std::string> &args, std::string &error)
                 return opts;
             }
             opts.banks = static_cast<std::uint32_t>(banks);
-        } else if (arg == "--shard-workers") {
-            std::uint64_t workers = 0;
-            if (!next(value) || !parseU64(value, workers) ||
-                workers > 256) {
-                error = "bad --shard-workers value (0-256)";
-                return opts;
-            }
-            opts.shardWorkers = static_cast<std::uint32_t>(workers);
         } else if (arg == "--unmanaged") {
             if (!next(value) ||
                 !parseF(value, opts.l2.vantage.unmanagedFraction)) {
@@ -547,19 +534,21 @@ parseCli(const std::vector<std::string> &args, std::string &error)
     if (opts.l2.lines == 0) {
         opts.l2.lines = opts.machine.l2Lines();
     }
-    // Sharding only exists for banked caches, and a worker with no
-    // bank (or a bank split that does not divide the lines) is a
-    // configuration error, not an assert.
-    if (opts.shardWorkers > 0 && opts.banks == 0) {
-        error = "--shard-workers requires --banks";
-        return opts;
-    }
-    if (opts.banks > 0 && opts.shardWorkers > opts.banks) {
-        error = "--shard-workers must not exceed --banks";
-        return opts;
-    }
+    // A bank split that does not divide the lines, or a per-bank
+    // geometry the array cannot build, is a configuration error, not
+    // an assert.
     if (opts.banks > 0 && opts.l2.lines % opts.banks != 0) {
         error = "--banks must divide the L2 line count";
+        return opts;
+    }
+    const std::uint64_t bank_lines =
+        opts.l2.lines / std::max<std::uint32_t>(opts.banks, 1);
+    const std::string geometry =
+        arrayGeometryError(opts.l2.array, bank_lines);
+    if (!geometry.empty()) {
+        error = (opts.banks > 0 ? "--l2-lines / --banks: "
+                                : "--l2-lines: ") +
+                geometry;
         return opts;
     }
     // Serve / replay / lifecycle select the whole run mode; they

@@ -5,6 +5,7 @@
 #include "array/random_array.h"
 #include "array/set_assoc.h"
 #include "array/zarray.h"
+#include "common/bits.h"
 #include "common/log.h"
 #include "core/vantage_variants.h"
 #include "obs/metrics_service.h"
@@ -88,6 +89,32 @@ buildArray(const L2Spec &spec)
                                              spec.seed);
     }
     panic("bad array kind %d", static_cast<int>(spec.array));
+}
+
+std::string
+arrayGeometryError(ArrayKind kind, std::uint64_t lines)
+{
+    const std::string name = arrayKindName(kind);
+    const std::string n = std::to_string(lines);
+    if (kind == ArrayKind::Random) {
+        return lines >= 52 ? std::string()
+                           : name + ": " + n +
+                                 " lines are fewer than 52 candidates";
+    }
+    const bool zcache =
+        kind == ArrayKind::Z4_52 || kind == ArrayKind::Z4_16;
+    const std::uint64_t ways =
+        zcache ? 4 : (kind == ArrayKind::SA16 ? 16 : 64);
+    if (lines % ways != 0) {
+        return name + ": " + n + " lines not divisible by " +
+               std::to_string(ways) + " ways";
+    }
+    const std::uint64_t per_way = lines / ways;
+    if (!isPow2(per_way)) {
+        return name + ": " + (zcache ? "lines per way " : "set count ") +
+               std::to_string(per_way) + " must be a power of two";
+    }
+    return std::string();
 }
 
 namespace {

@@ -72,6 +72,13 @@ struct L2Spec
 /** Construct the array for a spec. */
 std::unique_ptr<CacheArray> buildArray(const L2Spec &spec);
 
+/**
+ * Why buildArray() cannot build `kind` over `lines` lines (it would
+ * assert), or an empty string when the geometry is valid. Lets the
+ * CLI reject bad --l2-lines / --banks values with a message.
+ */
+std::string arrayGeometryError(ArrayKind kind, std::uint64_t lines);
+
 /** Construct the full L2 cache for a spec. */
 std::unique_ptr<Cache> buildL2(const L2Spec &spec);
 

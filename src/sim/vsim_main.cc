@@ -79,7 +79,6 @@ buildRegistry(StatsRegistry &reg, const CliOptions &opts,
                      [&sim, c] { return sim.result(c).mpki(); });
     }
     sim.sharedL2().registerStats(reg, "cache.l2");
-    sim.registerShardStats(reg);
     reg.addHistogram("sim.realloc_gap_accesses",
                      &sim.reallocGapHistogram());
     if (TraceSession::instance().enabledAny()) {
@@ -361,8 +360,7 @@ main(int argc, char **argv)
     }
 
     // Build the per-core workload. The shared L2 is flat by default
-    // or banked under --banks; --shard-workers runs the banks on
-    // worker threads (results are identical either way).
+    // or banked under --banks.
     auto build_shared_l2 = [&opts]() -> std::unique_ptr<SharedL2> {
         if (opts.banks > 0) {
             return buildBankedL2(opts.l2, opts.banks);
@@ -380,8 +378,7 @@ main(int argc, char **argv)
         }
         sim = std::make_unique<CmpSim>(opts.machine,
                                        std::move(streams),
-                                       build_shared_l2(),
-                                       opts.shardWorkers);
+                                       build_shared_l2());
     } else {
         std::vector<AppSpec> apps;
         if (opts.mix) {
@@ -397,8 +394,7 @@ main(int argc, char **argv)
             core_names.push_back(app.name);
         }
         sim = std::make_unique<CmpSim>(opts.machine, apps,
-                                       build_shared_l2(), opts.seed,
-                                       opts.shardWorkers);
+                                       build_shared_l2(), opts.seed);
     }
 
     std::fprintf(stderr,
@@ -415,12 +411,9 @@ main(int argc, char **argv)
                  hugePagesEnabled() ? "on" : "off");
     if (opts.banks > 0) {
         std::fprintf(stderr,
-                     "vsim: %u banks of %llu lines, %u shard "
-                     "worker(s)\n",
-                     opts.banks,
+                     "vsim: %u banks of %llu lines\n", opts.banks,
                      static_cast<unsigned long long>(opts.l2.lines /
-                                                     opts.banks),
-                     opts.shardWorkers);
+                                                     opts.banks));
     }
 
     // Controller trace (--trace-out): samples the measured phase.

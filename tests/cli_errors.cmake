@@ -56,15 +56,19 @@ expect_error("non-numeric banks" "bad --banks value" --banks lots)
 expect_error("banks out of range" "bad --banks value" --banks 2000)
 expect_error("banks do not divide lines"
     "--banks must divide the L2 line count" --banks 7)
-expect_error("non-numeric shard workers" "bad --shard-workers value"
-    --shard-workers nope)
-expect_error("shard workers out of range" "bad --shard-workers value"
-    --shard-workers 300)
-expect_error("shard workers without banks"
-    "--shard-workers requires --banks" --shard-workers 2)
-expect_error("more shard workers than banks"
-    "--shard-workers must not exceed --banks"
-    --banks 4 --shard-workers 8)
+# Per-bank geometries the array constructor would assert on.
+expect_error("zcache lines per way not a power of two"
+    "lines per way 250 must be a power of two"
+    --mix 5 --l2-lines 1000)
+expect_error("bank lines not divisible by zcache ways"
+    "125 lines not divisible by 4 ways"
+    --l2-lines 1000 --banks 8)
+expect_error("bank lines not divisible by set-assoc ways"
+    "32 lines not divisible by 64 ways"
+    --banks 1024 --array sa64)
+# The removed in-simulation bank-worker option is an unknown option.
+expect_error("removed worker option" "unknown option '--shard-workers'"
+    --shard-workers 2)
 
 expect_error("bad serve port" "bad --serve port" --serve 99999)
 expect_error("non-numeric serve port" "bad --serve port" --serve http)
