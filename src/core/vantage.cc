@@ -25,9 +25,7 @@ VantageController::VantageController(std::size_t num_lines,
     vantage_assert(cfg.slack > 0.0, "slack must be positive");
     vantage_assert(cfg.thresholdEntries >= 1, "need threshold entries");
 
-    managedLines_ = static_cast<std::uint64_t>(
-        std::llround(static_cast<double>(num_lines) *
-                     (1.0 - cfg.unmanagedFraction)));
+    managedLines_ = managedLinesFor(num_lines, cfg.unmanagedFraction);
     vantage_assert(managedLines_ >= cfg.numPartitions,
                    "managed region too small for %u partitions",
                    cfg.numPartitions);
@@ -37,6 +35,8 @@ VantageController::VantageController(std::size_t num_lines,
 
     parts_.resize(cfg.numPartitions);
     partStats_.resize(cfg.numPartitions);
+    judge_.resize(cfg.numPartitions);
+    laneScratch_.assign(cfg.numPartitions, 0);
     for (auto &ps : parts_) {
         ps.thrSize.resize(cfg.thresholdEntries, 0);
         ps.thrDems.resize(cfg.thresholdEntries, 0);
@@ -47,6 +47,13 @@ VantageController::VantageController(std::size_t num_lines,
         cfg.numPartitions, managedLines_ / cfg.numPartitions);
     targets[0] += managedLines_ % cfg.numPartitions;
     setTargetLines(targets);
+}
+
+std::uint64_t
+VantageController::managedLinesFor(std::uint64_t num_lines, double u)
+{
+    return static_cast<std::uint64_t>(
+        std::llround(static_cast<double>(num_lines) * (1.0 - u)));
 }
 
 void
@@ -128,7 +135,7 @@ VantageController::onPartitionCreate(PartId part)
     ps.currentTs = 0;
     ps.setpointTs = 0;
     ps.accessCounter = 0;
-    ps.candsSeen = 0;
+    judge_[part].candsSeen = 0;
     ps.candsDemoted = 0;
     ps.targetSize = 0;
     rebuildThresholds(part);
@@ -170,6 +177,44 @@ VantageController::rebuildThresholds(PartId part)
             1, static_cast<std::uint32_t>(std::llround(
                    c_amax * static_cast<double>(k + 1) / n)));
     }
+    syncJudge(part);
+}
+
+std::uint16_t
+VantageController::judgeThreshold(const PartState &ps) const
+{
+    // Demotable = over target and outside [SetpointTS, CurrentTS]
+    // (shouldDemote): the threshold is the keep window's width, 0
+    // for a target-0 drain, 256 (never) at or under target. Variants
+    // decide through their hooks, so the judge flags every lane.
+    if (!fastDemote_) {
+        return 0;
+    }
+    if (ps.actualSize <= ps.targetSize) {
+        return 256;
+    }
+    if (ps.targetSize == 0) {
+        return 0;
+    }
+    return static_cast<std::uint16_t>(modDist(
+        ps.setpointTs, static_cast<std::uint8_t>(ps.currentTs + 1), 8));
+}
+
+void
+VantageController::syncJudge(PartId part)
+{
+    const PartState &ps = parts_[part];
+    judge_[part].threshold = judgeThreshold(ps);
+    judge_[part].setpoint = ps.setpointTs;
+}
+
+void
+VantageController::useDemotionHooks()
+{
+    fastDemote_ = false;
+    for (PartId p = 0; p < cfg_.numPartitions; ++p) {
+        syncJudge(p);
+    }
 }
 
 void
@@ -194,7 +239,7 @@ VantageController::sampleTrace()
         s.aperture = apertureOf(ps);
         s.currentTs = ps.currentTs;
         s.setpointTs = ps.setpointTs;
-        s.candsSeen = ps.candsSeen;
+        s.candsSeen = judge_[p].candsSeen;
         s.candsDemoted = ps.candsDemoted;
         s.demotions = partStats_[p].demotions;
         s.promotions = partStats_[p].promotions;
@@ -213,6 +258,7 @@ VantageController::tickAccessCounter(PartId part)
         ++ps.currentTs;
         // Keep the setpoint at a constant distance (Sec. 4.2).
         ++ps.setpointTs;
+        syncJudge(part);
     }
 }
 
@@ -294,7 +340,7 @@ VantageController::adjustSetpoint(PartId part)
             recordVantageDecision(DecisionKind::SetpointShrink, part);
         }
     }
-    ps.candsSeen = 0;
+    judge_[part].candsSeen = 0;
     ps.candsDemoted = 0;
 }
 
@@ -348,7 +394,7 @@ VantageController::recordVantageDecision(DecisionKind kind, PartId part)
         std::llround(apertureOf(ps) * 1e4));
     rec.setpointTs = ps.setpointTs;
     rec.currentTs = ps.currentTs;
-    rec.candsSeen = ps.candsSeen;
+    rec.candsSeen = judge_[part].candsSeen;
     rec.candsDemoted = ps.candsDemoted;
     a->record(rec);
 }
@@ -390,6 +436,40 @@ VantageController::demotionPriority(const PartState &ps,
     }
     return std::min(1.0, static_cast<double>(younger) /
                              static_cast<double>(ps.actualSize));
+}
+
+void
+VantageController::groupPriorities(const PartState &ps,
+                                   std::uint64_t lanes,
+                                   const Line *lines,
+                                   const Candidate *cands,
+                                   double *prio) const
+{
+    // demotionPriority() of every lane from one sweep: younger[a]
+    // counts the lines younger than age a, built up to the oldest
+    // lane's age. Same integers, same division, same doubles.
+    std::uint32_t ages[CandidateBuf::kCapacity];
+    std::uint32_t max_age = 0;
+    for (std::uint64_t m = lanes; m != 0; m &= m - 1) {
+        const auto i = static_cast<std::uint32_t>(__builtin_ctzll(m));
+        ages[i] = modDist(lines[cands[i].slot].rank, ps.currentTs, 8);
+        max_age = std::max(max_age, ages[i]);
+    }
+    std::uint64_t younger[256];
+    younger[0] = 0;
+    for (std::uint32_t a = 0; a < max_age; ++a) {
+        younger[a + 1] =
+            younger[a] +
+            ps.tsHist[static_cast<std::uint8_t>(ps.currentTs - a)];
+    }
+    for (std::uint64_t m = lanes; m != 0; m &= m - 1) {
+        const auto i = static_cast<std::uint32_t>(__builtin_ctzll(m));
+        prio[i] = ps.actualSize == 0
+                      ? 1.0
+                      : std::min(1.0,
+                                 static_cast<double>(younger[ages[i]]) /
+                                     static_cast<double>(ps.actualSize));
+    }
 }
 
 void
@@ -444,6 +524,7 @@ VantageController::onHit(CacheArray &array, LineId slot,
         ++stats_.promotions;
         ++partStats_[accessor].hits;
         tickAccessCounter(accessor);
+        syncJudge(accessor);
         return;
     }
 
@@ -469,7 +550,6 @@ VantageController::selectVictim(CacheArray &array, PartId inserting,
     VANTAGE_PROF("vantage.select_victim");
     VANTAGE_TRACE_SPAN(kTraceVantage, "vantage.select_victim");
 
-    std::int32_t first_invalid = -1;
     std::int32_t oldest_unmanaged = -1;
     std::uint32_t oldest_age = 0;
     std::int32_t first_demoted = -1;
@@ -482,145 +562,111 @@ VantageController::selectVictim(CacheArray &array, PartId inserting,
     const PartId cdf_part = demotionCdfPart_;
     const std::uint32_t n = cands.size();
 
-    if (fastDemote_) {
-        // Vectorized demotion pass over the hot SoA plane. Arrays
-        // emit each slot at most once per candidate list, so one
-        // up-front gather of {valid, part, rank} (classify) reads
-        // exactly what the serial loop would have read lane by lane —
-        // selectVictim itself is the only mutator while it runs, and
-        // demote() only touches the lane being processed. The managed
-        // lanes must still commit their side effects (candsSeen,
-        // demotions, setpoint moves) serially in index order, because
-        // each demotion can change the keep window the NEXT candidate
-        // of that partition is judged against; the unmanaged-age fold
-        // between two managed lanes is order-free because the
-        // unmanaged timestamp only ticks inside demote(). See
-        // DESIGN.md §15 for the full bit-identity argument.
-        std::uint32_t parts[CandidateBuf::kCapacity];
-        std::uint8_t ranks[CandidateBuf::kCapacity];
-        std::uint64_t valid_mask = 0;
-        std::uint64_t unmanaged_mask = 0;
-        simd::ops().classify(lines, cv, n, parts, ranks, &valid_mask,
-                             &unmanaged_mask);
-        const std::uint64_t all =
-            n >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << n) - 1);
-        const std::uint64_t invalid_mask = ~valid_mask & all;
-        if (invalid_mask != 0) {
-            first_invalid = static_cast<std::int32_t>(
-                __builtin_ctzll(invalid_mask));
+    // Event-driven demotion scan (DESIGN.md §15). One kernel pass
+    // judges every candidate against its partition's registers as
+    // they stand now and counts it into CandsSeen. A partition's
+    // registers change only at its own events — a demotion, or the
+    // lane where CandsSeen reaches c — so the kernel stops at each
+    // partition's first event and leaves the partition's later lanes
+    // uncounted in `pending`. Only event lanes run the serial commit
+    // body below, in index order.
+    simd::Judgement j;
+    std::uint64_t *const pending = laneScratch_.data();
+    simd::ops().judge(lines, cv, n, cands_per_adjust, judge_.data(),
+                      cfg_.numPartitions, pending, &j);
+    vantage_assert(j.stray == 0, "candidate with bad partition %u",
+                   lines[cv[__builtin_ctzll(j.stray)].slot].part);
+    const std::uint64_t all =
+        n >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << n) - 1);
+    const std::uint64_t invalid_mask = ~j.valid & all;
+    const std::int32_t first_invalid =
+        invalid_mask != 0
+            ? static_cast<std::int32_t>(__builtin_ctzll(invalid_mask))
+            : -1;
+
+    // Fold the oldest unmanaged candidate over lanes [lo, hi) with
+    // the CURRENT unmanaged timestamp. It ticks only inside demote(),
+    // so folding each span between events before the event commits
+    // observes exactly what a lane-by-lane scan would.
+    const auto fold_unmanaged = [&](std::uint32_t lo, std::uint32_t hi) {
+        if (lo >= hi) {
+            return;
         }
-
-        // Fold the oldest unmanaged candidate over lanes [lo, hi)
-        // with the CURRENT unmanaged timestamp — called before each
-        // managed lane commits (and once for the final span), which
-        // reproduces the serial loop's timestamp observation order.
-        const auto fold_unmanaged = [&](std::uint32_t lo,
-                                        std::uint32_t hi) {
-            if (lo >= hi) {
-                return;
-            }
-            std::uint64_t m = (unmanaged_mask >> lo) << lo;
-            if (hi < 64) {
-                m &= (std::uint64_t{1} << hi) - 1;
-            }
-            const std::uint8_t uts = unmanagedTs_;
-            while (m != 0) {
-                const std::uint32_t i = static_cast<std::uint32_t>(
-                    __builtin_ctzll(m));
-                m &= m - 1;
-                const std::uint32_t age =
-                    static_cast<std::uint8_t>(uts - ranks[i]);
-                if (oldest_unmanaged < 0 || age > oldest_age) {
-                    oldest_unmanaged = static_cast<std::int32_t>(i);
-                    oldest_age = age;
-                }
-            }
-        };
-
-        std::uint64_t managed = valid_mask & ~unmanaged_mask;
-        std::uint32_t span_lo = 0;
-        while (managed != 0) {
-            const std::uint32_t i = static_cast<std::uint32_t>(
-                __builtin_ctzll(managed));
-            managed &= managed - 1;
-            fold_unmanaged(span_lo, i);
-            span_lo = i + 1;
-
-            // Managed candidate: demotion check (Sec. 4.3).
-            const PartId p = parts[i];
-            vantage_assert(p < cfg_.numPartitions,
-                           "candidate with bad partition %u", p);
-            PartState &ps = parts_[p];
-            ++ps.candsSeen;
-            const bool dem =
-                ps.actualSize > ps.targetSize &&
-                (ps.targetSize == 0 || !inKeepWindow(ps, ranks[i]));
-            if (dem) {
-                if (cdf != nullptr && p == cdf_part) {
-                    cdf->add(demotionPriority(ps, ranks[i]));
-                }
-                demote(lines[cv[i].slot], p);
-                if (first_demoted < 0) {
-                    first_demoted = static_cast<std::int32_t>(i);
-                    first_demoted_part = p;
-                }
-            }
-            if (ps.candsSeen >= cands_per_adjust) {
-                adjustSetpoint(p);
+        std::uint64_t m = (j.unmanaged >> lo) << lo;
+        if (hi < 64) {
+            m &= (std::uint64_t{1} << hi) - 1;
+        }
+        const std::uint8_t uts = unmanagedTs_;
+        while (m != 0) {
+            const auto i = static_cast<std::uint32_t>(__builtin_ctzll(m));
+            m &= m - 1;
+            const std::uint32_t age =
+                static_cast<std::uint8_t>(uts - lines[cv[i].slot].rank);
+            if (oldest_unmanaged < 0 || age > oldest_age) {
+                oldest_unmanaged = static_cast<std::int32_t>(i);
+                oldest_age = age;
             }
         }
-        fold_unmanaged(span_lo, n);
-    } else {
-        // Variants override the demotion hooks: keep the serial
-        // reference loop with the virtual calls.
-        for (std::uint32_t i = 0; i < n; ++i) {
-#if defined(__GNUC__) || defined(__clang__)
-            // Hide the hot-array load latency of candidate i+8
-            // behind the demotion work on candidate i.
-            if (i + 8 < n) {
-                __builtin_prefetch(&lines[cv[i + 8].slot], 0, 1);
-            }
-#endif
-            Line &line = lines[cv[i].slot];
-            if (!line.valid()) {
-                if (first_invalid < 0) {
-                    first_invalid = static_cast<std::int32_t>(i);
-                }
-                continue;
-            }
-            if (line.part == kUnmanagedPart) {
-                const std::uint32_t age =
-                    modDist(line.rank, unmanagedTs_, 8);
-                if (oldest_unmanaged < 0 || age > oldest_age) {
-                    oldest_unmanaged = static_cast<std::int32_t>(i);
-                    oldest_age = age;
-                }
-                continue;
-            }
+    };
 
-            // Managed candidate: demotion check (Sec. 4.3).
-            const PartId p = line.part;
-            vantage_assert(p < cfg_.numPartitions,
-                           "candidate with bad partition %u", p);
-            PartState &ps = parts_[p];
-            ++ps.candsSeen;
-            const bool dem = shouldDemote(p, ps, line);
-            if (dem) {
-                if (cdf != nullptr && p == cdf_part) {
-                    cdf->add(demotionPriority(ps, line.rank));
-                }
-                demote(line, p);
-                if (first_demoted < 0) {
-                    first_demoted = static_cast<std::int32_t>(i);
-                    first_demoted_part = p;
-                }
-            } else {
-                onDemotionCheckKept(p, line);
+    std::uint64_t demotable = j.demotable;
+    std::uint64_t events = j.events;
+    std::uint32_t span_lo = 0;
+    PartId touched[CandidateBuf::kCapacity];
+    std::uint32_t num_touched = 0;
+    while (events != 0) {
+        const auto i = static_cast<std::uint32_t>(__builtin_ctzll(events));
+        const std::uint64_t upto = (std::uint64_t{2} << i) - 1; // [0, i]
+        events &= ~upto;
+        fold_unmanaged(span_lo, i);
+        span_lo = i + 1;
+
+        // The lane-commit body (Sec. 4.3): count the partition's
+        // parked lanes up to this one, demote, adjust the setpoint.
+        // Variants judge here through their hooks (their judge
+        // threshold is 0, so every lane is an event).
+        Line &line = lines[cv[i].slot];
+        const PartId p = line.part;
+        touched[num_touched++] = p;
+        PartState &ps = parts_[p];
+        simd::JudgeRegs &r = judge_[p];
+        r.candsSeen += static_cast<std::uint32_t>(
+            __builtin_popcountll(pending[p] & upto));
+        pending[p] &= ~upto;
+        const bool dem = fastDemote_ ? ((demotable >> i) & 1) != 0
+                                     : shouldDemote(p, ps, line);
+        if (dem) {
+            if (cdf != nullptr && p == cdf_part) {
+                cdf->add(demotionPriority(ps, line.rank));
             }
-            if (ps.candsSeen >= cands_per_adjust) {
-                adjustSetpoint(p);
+            demote(line, p);
+            if (first_demoted < 0) {
+                first_demoted = static_cast<std::int32_t>(i);
+                first_demoted_part = p;
             }
+        } else {
+            onDemotionCheckKept(p, line);
         }
+        if (r.candsSeen >= cands_per_adjust) {
+            adjustSetpoint(p);
+        }
+        syncJudge(p);
+
+        // Re-judge only this partition's parked lanes.
+        const std::uint64_t rest = pending[p];
+        const std::uint64_t d = simd::judgeLanes(lines, cv, rest, r);
+        demotable = (demotable & ~rest) | d;
+        events = (events & ~rest) | d |
+                 simd::adjustLane(rest, r.candsSeen, cands_per_adjust);
+    }
+    fold_unmanaged(span_lo, n);
+
+    // Count the lanes after each partition's last event.
+    for (std::uint32_t k = 0; k < num_touched; ++k) {
+        const PartId p = touched[k];
+        judge_[p].candsSeen += static_cast<std::uint32_t>(
+            __builtin_popcountll(pending[p]));
+        pending[p] = 0;
     }
 
     if (first_invalid >= 0) {
@@ -641,16 +687,28 @@ VantageController::selectVictim(CacheArray &array, PartId inserting,
         return {first_demoted, false};
     }
 
-    // Nothing was even demotable; evict the candidate that is oldest
-    // within its own partition.
+    // Nothing was even demotable, so no line changed and every lane
+    // is a valid managed line: evict the candidate that is oldest
+    // within its own partition (highest demotionPriority, first
+    // wins), scoring each partition's lanes together.
+    std::uint64_t *const lanes_of = laneScratch_.data();
+    std::uint64_t firsts = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const PartId p = lines[cv[i].slot].part;
+        firsts |= std::uint64_t{lanes_of[p] == 0} << i;
+        lanes_of[p] |= std::uint64_t{1} << i;
+    }
+    double prio[CandidateBuf::kCapacity];
+    for (std::uint64_t f = firsts; f != 0; f &= f - 1) {
+        const PartId p = lines[cv[__builtin_ctzll(f)].slot].part;
+        groupPriorities(parts_[p], lanes_of[p], lines, cv, prio);
+        lanes_of[p] = 0;
+    }
     std::int32_t victim = 0;
     double victim_age = -1.0;
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-        const Line &line = lines[cv[i].slot];
-        const PartState &ps = parts_[line.part];
-        const double age = demotionPriority(ps, line.rank);
-        if (age > victim_age) {
-            victim_age = age;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        if (prio[i] > victim_age) {
+            victim_age = prio[i];
             victim = static_cast<std::int32_t>(i);
         }
     }
@@ -683,6 +741,7 @@ VantageController::onEvict(CacheArray &array, LineId slot)
     --ps.tsHist[line.rank];
     vantage_assert(ps.actualSize > 0, "eviction from empty partition");
     --ps.actualSize;
+    syncJudge(line.part);
 }
 
 void
@@ -720,6 +779,7 @@ VantageController::onInsert(CacheArray &array, LineId slot,
     ++ps.actualSize;
     ++partStats_[part].insertions;
     tickAccessCounter(part);
+    syncJudge(part);
 }
 
 std::uint64_t
@@ -799,12 +859,17 @@ VantageController::checkInvariants(const CacheArray &array,
         }
 
         // Fig. 4 register file self-consistency.
-        rep.expect(ps.candsDemoted <= ps.candsSeen,
+        const simd::JudgeRegs &jr = judge_[p];
+        rep.expect(ps.candsDemoted <= jr.candsSeen,
                    "vantage: part %u CandsDemoted %u > CandsSeen %u",
-                   p, ps.candsDemoted, ps.candsSeen);
-        rep.expect(ps.candsSeen <= cfg_.candsPerAdjust,
+                   p, ps.candsDemoted, jr.candsSeen);
+        rep.expect(jr.candsSeen <= cfg_.candsPerAdjust,
                    "vantage: part %u CandsSeen %u exceeds c = %u", p,
-                   ps.candsSeen, cfg_.candsPerAdjust);
+                   jr.candsSeen, cfg_.candsPerAdjust);
+        rep.expect(jr.threshold == judgeThreshold(ps) &&
+                       jr.setpoint == ps.setpointTs &&
+                       laneScratch_[p] == 0,
+                   "vantage: part %u judge registers out of sync", p);
         rep.expect(apertureOf(ps) <=
                        cfg_.maxAperture + 1e-9,
                    "vantage: part %u aperture %f above Amax %f", p,

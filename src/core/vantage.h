@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "partition/scheme.h"
+#include "simd/simd.h"
 #include "stats/cdf.h"
 #include "stats/histogram.h"
 #include "stats/trace.h"
@@ -187,6 +188,10 @@ class VantageController : public PartitionScheme
     /** Managed-region capacity in lines, (1 - u) * num_lines. */
     std::uint64_t managedLines() const { return managedLines_; }
 
+    /** The managed capacity of `num_lines` lines at unmanaged u. */
+    static std::uint64_t managedLinesFor(std::uint64_t num_lines,
+                                         double u);
+
     const VantageStats &stats() const { return stats_; }
     const VantagePartStats &partStats(PartId part) const;
 
@@ -264,7 +269,8 @@ class VantageController : public PartitionScheme
         std::uint8_t currentTs = 0;     // CurrentTS (8b)
         std::uint8_t setpointTs = 0;    // SetpointTS (8b)
         std::uint64_t accessCounter = 0; // AccessCounter (16b)
-        std::uint32_t candsSeen = 0;    // CandsSeen (8b)
+        // CandsSeen (8b) lives in judge_[part], which the demotion
+        // judge advances.
         std::uint32_t candsDemoted = 0; // CandsDemoted (8b)
         // 8-entry demotion thresholds lookup table (Fig. 3c).
         std::vector<std::uint64_t> thrSize; // ThrSize[k] (16b each)
@@ -296,6 +302,17 @@ class VantageController : public PartitionScheme
      */
     virtual double demotionPriority(const PartState &ps,
                                     std::uint8_t rank) const;
+
+    /**
+     * demotionPriority() of every candidate in `lanes` (all from the
+     * partition `ps`) into prio[lane]; the forced-eviction fallback
+     * reads a whole candidate list this way. Variants that override
+     * demotionPriority() override this to match.
+     */
+    virtual void groupPriorities(const PartState &ps, std::uint64_t lanes,
+                                 const Line *lines,
+                                 const Candidate *cands,
+                                 double *prio) const;
 
     /** Hook after a managed candidate survives its demotion check. */
     virtual void onDemotionCheckKept(PartId part, Line &line);
@@ -339,14 +356,25 @@ class VantageController : public PartitionScheme
     void recordVantageDecision(DecisionKind kind, PartId part);
 
     /**
-     * True while the demotion decision is exactly the base
-     * controller's (setpoint window over the hot rank array):
-     * selectVictim() then runs a single flattened, branch-light pass
-     * that inlines the check instead of calling the shouldDemote /
-     * onDemotionCheckKept virtuals per candidate. Any variant that
-     * overrides either hook must clear this in its constructor to
-     * get the virtual dispatch back.
+     * Mirror parts_[part]'s keep window into judge_[part]'s threshold
+     * and setpoint. Called wherever ActualSize, TargetSize or
+     * CurrentTS/SetpointTS change.
      */
+    void syncJudge(PartId part);
+
+    /** The judge threshold `ps` implies (see simd::JudgeRegs). */
+    std::uint16_t judgeThreshold(const PartState &ps) const;
+
+    /**
+     * Decide demotions through shouldDemote() and
+     * onDemotionCheckKept(): every variant that overrides either
+     * calls this in its constructor. The judge then flags every
+     * managed lane, and selectVictim()'s one commit body asks the
+     * hooks lane by lane.
+     */
+    void useDemotionHooks();
+
+    /** False once useDemotionHooks() was called. */
     bool fastDemote_ = true;
 
     VantageConfig cfg_;
@@ -355,6 +383,11 @@ class VantageController : public PartitionScheme
 
     std::vector<PartState> parts_;
     std::vector<VantagePartStats> partStats_;
+    // The demotion judge's registers (CandsSeen, plus the keep window
+    // kept in sync by syncJudge) and its lane scratch: one word per
+    // partition, zero between misses.
+    std::vector<simd::JudgeRegs> judge_;
+    std::vector<std::uint64_t> laneScratch_;
     VantageStats stats_;
 
     // Unmanaged-region state: its own coarse timestamp, advanced once

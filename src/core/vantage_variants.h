@@ -34,7 +34,7 @@ class VantageOracle : public VantageController
     VantageOracle(std::size_t num_lines, const VantageConfig &cfg)
         : VantageController(num_lines, cfg)
     {
-        fastDemote_ = false; // Overrides shouldDemote().
+        useDemotionHooks(); // Overrides shouldDemote().
     }
 
     std::string name() const override { return "vantage-oracle"; }
@@ -64,7 +64,7 @@ class VantageRrip : public VantageController
           useBrrip_(cfg.numPartitions, false),
           setpointRrpv_(cfg.numPartitions, RripBase::kDistant)
     {
-        fastDemote_ = false; // Overrides the demotion hooks.
+        useDemotionHooks(); // Overrides the demotion hooks.
     }
 
     std::string name() const override { return "vantage-rrip"; }
@@ -136,6 +136,17 @@ class VantageRrip : public VantageController
     }
 
     void
+    groupPriorities(const PartState &ps, std::uint64_t lanes,
+                    const Line *lines, const Candidate *cands,
+                    double *prio) const override
+    {
+        for (std::uint64_t m = lanes; m != 0; m &= m - 1) {
+            const int i = __builtin_ctzll(m);
+            prio[i] = demotionPriority(ps, lines[cands[i].slot].rank);
+        }
+    }
+
+    void
     onDemotionCheckKept(PartId part, Line &line) override
     {
         // Age surviving candidates of over-target partitions so their
@@ -174,7 +185,7 @@ class VantageRrip : public VantageController
                 --setpointRrpv_[part];
             }
         }
-        ps.candsSeen = 0;
+        judge_[part].candsSeen = 0;
         ps.candsDemoted = 0;
     }
 
@@ -190,115 +201,6 @@ class VantageRrip : public VantageController
     Rng rng_;
     std::vector<bool> useBrrip_;
     std::vector<std::uint8_t> setpointRrpv_;
-};
-
-/**
- * Vantage over LFU ranks — the paper's Sec. 4.2 generality claim:
- * "in LFU we would choose a setpoint access frequency". Lines carry
- * a saturating 8-bit access-frequency counter; a candidate is demoted
- * when its partition is over target and its frequency falls at or
- * below the per-partition *setpoint frequency*, which the same
- * feedback loop adjusts.
- */
-class VantageLfu : public VantageController
-{
-  public:
-    VantageLfu(std::size_t num_lines, const VantageConfig &cfg)
-        : VantageController(num_lines, cfg),
-          setpointFreq_(cfg.numPartitions, 0)
-    {
-        fastDemote_ = false; // Overrides shouldDemote().
-    }
-
-    std::string name() const override { return "vantage-lfu"; }
-
-    std::uint8_t
-    setpointFreq(PartId part) const
-    {
-        return setpointFreq_[part];
-    }
-
-  protected:
-    std::uint8_t
-    insertionRank(PartId part) override
-    {
-        (void)part;
-        return 0; // New lines start with zero observed reuse.
-    }
-
-    std::uint8_t
-    hitRank(PartId part, std::uint8_t old_rank) override
-    {
-        (void)part;
-        return old_rank < 255 ? old_rank + 1 : 255;
-    }
-
-    bool
-    shouldDemote(PartId part, const PartState &ps,
-                 const Line &line) const override
-    {
-        if (ps.actualSize <= ps.targetSize) {
-            return false;
-        }
-        if (ps.targetSize == 0) {
-            return true;
-        }
-        return line.rank <= setpointFreq_[part];
-    }
-
-    double
-    demotionPriority(const PartState &ps,
-                     std::uint8_t rank) const override
-    {
-        // Fraction of the partition's lines used *more* often — the
-        // share LFU would rather keep.
-        if (ps.actualSize == 0) {
-            return 1.0;
-        }
-        std::uint64_t hotter = 0;
-        for (std::uint32_t f = rank + 1; f < 256; ++f) {
-            hotter += ps.tsHist[f];
-        }
-        return std::min(1.0, static_cast<double>(hotter) /
-                                 static_cast<double>(ps.actualSize));
-    }
-
-    void
-    tickAccessCounter(PartId part) override
-    {
-        (void)part; // Frequencies do not use the timestamp clock.
-    }
-
-    void
-    adjustSetpoint(PartId part) override
-    {
-        PartState &ps = parts_[part];
-        ++stats_.setpointAdjusts;
-        const std::uint32_t desired = desiredDemotions(ps);
-        // Demote when freq <= setpoint: raising the setpoint demotes
-        // more lines.
-        if (ps.candsDemoted > desired) {
-            if (setpointFreq_[part] > 0) {
-                --setpointFreq_[part];
-            }
-        } else if (ps.candsDemoted < desired) {
-            if (setpointFreq_[part] < 255) {
-                ++setpointFreq_[part];
-            }
-        }
-        ps.candsSeen = 0;
-        ps.candsDemoted = 0;
-    }
-
-    void
-    onPartitionCreate(PartId part) override
-    {
-        VantageController::onPartitionCreate(part);
-        setpointFreq_[part] = 0;
-    }
-
-  private:
-    std::vector<std::uint8_t> setpointFreq_;
 };
 
 } // namespace vantage

@@ -541,10 +541,16 @@ parseCli(const std::vector<std::string> &args, std::string &error)
         error = "--banks must divide the L2 line count";
         return opts;
     }
+    // Every bank holds all partitions: one per core, or one per
+    // tenant slot when tenants drive the cache.
+    L2Spec bank_spec = opts.l2;
+    bank_spec.numPartitions =
+        opts.servePort >= 0 || opts.lifecycleAccesses > 0
+            ? opts.maxTenants
+            : opts.machine.numCores;
     const std::uint64_t bank_lines =
         opts.l2.lines / std::max<std::uint32_t>(opts.banks, 1);
-    const std::string geometry =
-        arrayGeometryError(opts.l2.array, bank_lines);
+    const std::string geometry = arrayGeometryError(bank_spec, bank_lines);
     if (!geometry.empty()) {
         error = (opts.banks > 0 ? "--l2-lines / --banks: "
                                 : "--l2-lines: ") +

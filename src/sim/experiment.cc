@@ -92,27 +92,42 @@ buildArray(const L2Spec &spec)
 }
 
 std::string
-arrayGeometryError(ArrayKind kind, std::uint64_t lines)
+arrayGeometryError(const L2Spec &spec, std::uint64_t lines)
 {
+    const ArrayKind kind = spec.array;
     const std::string name = arrayKindName(kind);
     const std::string n = std::to_string(lines);
     if (kind == ArrayKind::Random) {
-        return lines >= 52 ? std::string()
-                           : name + ": " + n +
-                                 " lines are fewer than 52 candidates";
+        if (lines < 52) {
+            return name + ": " + n + " lines are fewer than 52 candidates";
+        }
+    } else {
+        const bool zcache =
+            kind == ArrayKind::Z4_52 || kind == ArrayKind::Z4_16;
+        const std::uint64_t ways =
+            zcache ? 4 : (kind == ArrayKind::SA16 ? 16 : 64);
+        if (lines % ways != 0) {
+            return name + ": " + n + " lines not divisible by " +
+                   std::to_string(ways) + " ways";
+        }
+        const std::uint64_t per_way = lines / ways;
+        if (!isPow2(per_way)) {
+            return name + ": " +
+                   (zcache ? "lines per way " : "set count ") +
+                   std::to_string(per_way) + " must be a power of two";
+        }
     }
-    const bool zcache =
-        kind == ArrayKind::Z4_52 || kind == ArrayKind::Z4_16;
-    const std::uint64_t ways =
-        zcache ? 4 : (kind == ArrayKind::SA16 ? 16 : 64);
-    if (lines % ways != 0) {
-        return name + ": " + n + " lines not divisible by " +
-               std::to_string(ways) + " ways";
-    }
-    const std::uint64_t per_way = lines / ways;
-    if (!isPow2(per_way)) {
-        return name + ": " + (zcache ? "lines per way " : "set count ") +
-               std::to_string(per_way) + " must be a power of two";
+    const bool vantage = spec.scheme == SchemeKind::Vantage ||
+                         spec.scheme == SchemeKind::VantageDrrip ||
+                         spec.scheme == SchemeKind::VantageOracle;
+    if (vantage) {
+        const std::uint64_t managed = VantageController::managedLinesFor(
+            lines, spec.vantage.unmanagedFraction);
+        if (managed < spec.numPartitions) {
+            return name + ": " + std::to_string(managed) +
+                   " managed lines of " + n + " are fewer than " +
+                   std::to_string(spec.numPartitions) + " partitions";
+        }
     }
     return std::string();
 }

@@ -73,11 +73,13 @@ struct L2Spec
 std::unique_ptr<CacheArray> buildArray(const L2Spec &spec);
 
 /**
- * Why buildArray() cannot build `kind` over `lines` lines (it would
- * assert), or an empty string when the geometry is valid. Lets the
- * CLI reject bad --l2-lines / --banks values with a message.
+ * Why buildL2() cannot build `spec` with `lines` lines per cache (one
+ * bank of a banked L2) — the array would assert on its geometry, or a
+ * Vantage controller would have fewer managed lines than partitions —
+ * or an empty string when it can. Lets the CLI reject bad
+ * --l2-lines / --banks / --cores values with a message.
  */
-std::string arrayGeometryError(ArrayKind kind, std::uint64_t lines);
+std::string arrayGeometryError(const L2Spec &spec, std::uint64_t lines);
 
 /** Construct the full L2 cache for a spec. */
 std::unique_ptr<Cache> buildL2(const L2Spec &spec);

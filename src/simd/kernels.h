@@ -73,27 +73,87 @@ prefetchLines(const Line *lines, const Candidate *cands,
     }
 }
 
+/** The judge's running lane masks (see judgeLane()). */
+struct JudgeAcc
+{
+    std::uint64_t stray = 0;
+    std::uint64_t events = 0;
+    std::uint64_t demotable = 0;
+};
+
+/**
+ * Judge lane `i` of a valid line (the semantic core of every judge
+ * backend): count it into its partition's CandsSeen and flag it when
+ * it is the partition's first event. From the event on, the
+ * partition's scratch word is nonzero (it holds the event lane as a
+ * marker), and its later lanes are only collected there. Events are
+ * rare, so the branches predict well.
+ */
 inline void
-classify(const Line *lines, const Candidate *cands, std::uint32_t n,
-         std::uint32_t *parts, std::uint8_t *ranks,
-         std::uint64_t *valid_mask, std::uint64_t *unmanaged_mask)
+judgeLane(PartId part, std::uint8_t rank, std::uint32_t i,
+          std::uint32_t c, JudgeRegs *regs, std::uint32_t num_parts,
+          std::uint64_t *lane_scratch, JudgeAcc &acc)
+{
+    const std::uint64_t bit = std::uint64_t{1} << i;
+    if (part >= num_parts) {
+        acc.stray |= part == kUnmanagedPart ? 0 : bit;
+        return;
+    }
+    if (lane_scratch[part] != 0) {
+        lane_scratch[part] |= bit;
+        return;
+    }
+    JudgeRegs &r = regs[part];
+    ++r.candsSeen;
+    const bool dem = demotableRank(rank, r);
+    if (dem || r.candsSeen >= c) {
+        lane_scratch[part] = bit;
+        acc.events |= bit;
+        acc.demotable |= dem ? bit : 0;
+    }
+}
+
+/**
+ * Store the running masks and drop the event markers from the
+ * scratch words; `part_of(i)` is event lane i's partition.
+ */
+template <typename PartOf>
+inline void
+judgeFinish(const JudgeAcc &acc, std::uint64_t *lane_scratch,
+            PartOf &&part_of, Judgement *out)
+{
+    for (std::uint64_t e = acc.events; e != 0; e &= e - 1) {
+        const auto i = static_cast<std::uint32_t>(__builtin_ctzll(e));
+        lane_scratch[part_of(i)] &= ~(std::uint64_t{1} << i);
+    }
+    out->stray = acc.stray;
+    out->events = acc.events;
+    out->demotable = acc.demotable;
+}
+
+inline void
+judge(const Line *lines, const Candidate *cands, std::uint32_t n,
+      std::uint32_t c, JudgeRegs *regs, std::uint32_t num_parts,
+      std::uint64_t *lane_scratch, Judgement *out)
 {
     std::uint64_t valid = 0;
     std::uint64_t unmanaged = 0;
+    JudgeAcc acc;
     prefetchLines(lines, cands, n);
     for (std::uint32_t i = 0; i < n; ++i) {
         const Line &line = lines[cands[i].slot];
-        parts[i] = line.part;
-        ranks[i] = line.rank;
+        unmanaged |= std::uint64_t{line.part == kUnmanagedPart} << i;
         if (line.addr != kInvalidAddr) {
             valid |= std::uint64_t{1} << i;
-        }
-        if (line.part == kUnmanagedPart) {
-            unmanaged |= std::uint64_t{1} << i;
+            judgeLane(line.part, line.rank, i, c, regs, num_parts,
+                      lane_scratch, acc);
         }
     }
-    *valid_mask = valid;
-    *unmanaged_mask = unmanaged;
+    out->valid = valid;
+    out->unmanaged = unmanaged;
+    judgeFinish(
+        acc, lane_scratch,
+        [&](std::uint32_t i) { return lines[cands[i].slot].part; }, out);
 }
 
 inline std::int32_t

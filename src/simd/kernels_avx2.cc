@@ -121,15 +121,50 @@ findTagAtAvx2(const Line *lines, const LineId *slots, std::uint32_t n,
     return -1;
 }
 
-__attribute__((target("avx2"))) void
-classifyAvx2(const Line *lines, const Candidate *cands, std::uint32_t n,
-             std::uint32_t *parts, std::uint8_t *ranks,
-             std::uint64_t *valid_mask, std::uint64_t *unmanaged_mask)
+/**
+ * The lanes of `lanes` whose rank is demotable under `r`: two
+ * 32-byte compares over the byte rank plane (unsigned x >= t is
+ * max(x, t) == x).
+ */
+__attribute__((target("avx2"))) std::uint64_t
+demotableLanesAvx2(const std::uint8_t *ranks, std::uint64_t lanes,
+                   const JudgeRegs &r)
 {
+    if (r.threshold >= 256) {
+        return 0; // At or under target: nothing is demotable.
+    }
+    const __m256i sp = _mm256_set1_epi8(static_cast<char>(r.setpoint));
+    const __m256i t = _mm256_set1_epi8(static_cast<char>(r.threshold));
+    const __m256i lo = _mm256_sub_epi8(
+        _mm256_load_si256(reinterpret_cast<const __m256i *>(ranks)), sp);
+    const __m256i hi = _mm256_sub_epi8(
+        _mm256_load_si256(reinterpret_cast<const __m256i *>(ranks + 32)),
+        sp);
+    const auto m_lo = static_cast<std::uint32_t>(_mm256_movemask_epi8(
+        _mm256_cmpeq_epi8(_mm256_max_epu8(lo, t), lo)));
+    const auto m_hi = static_cast<std::uint32_t>(_mm256_movemask_epi8(
+        _mm256_cmpeq_epi8(_mm256_max_epu8(hi, t), hi)));
+    return (m_lo | (std::uint64_t{m_hi} << 32)) & lanes;
+}
+
+__attribute__((target("avx2"))) void
+judgeAvx2(const Line *lines, const Candidate *cands, std::uint32_t n,
+          std::uint32_t c, JudgeRegs *regs, std::uint32_t num_parts,
+          std::uint64_t *lane_scratch, Judgement *out)
+{
+    // Phase 1: a vector gather of {valid, part, rank} into small
+    // planes. Lanes past n: ranks stay zero, and the last partial
+    // block of parts reads kInvalidPart; the lane masks drop them.
+    alignas(32) std::uint32_t parts[CandidateBuf::kCapacity];
+    alignas(32) std::uint8_t ranks[CandidateBuf::kCapacity] = {};
     std::uint64_t valid = 0;
     std::uint64_t unmanaged = 0;
-    scalar::prefetchLines(lines, cands, n);
     const __m256i invalid = _mm256_set1_epi64x(-1); // kInvalidAddr
+    if ((n & 7u) != 0) {
+        _mm256_store_si256(
+            reinterpret_cast<__m256i *>(parts + (n & ~7u)), invalid);
+    }
+    scalar::prefetchLines(lines, cands, n);
     const __m128i unmanaged_part =
         _mm_set1_epi32(static_cast<int>(kUnmanagedPart));
     // Dword selector pulling each 16-byte line's part field (dword 2
@@ -167,7 +202,7 @@ classifyAvx2(const Line *lines, const Candidate *cands, std::uint32_t n,
         const __m128i p23 = _mm256_castsi256_si128(
             _mm256_permutevar8x32_epi32(cd, part_idx));
         const __m128i p32 = _mm_unpacklo_epi64(p01, p23);
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(parts + i), p32);
+        _mm_store_si128(reinterpret_cast<__m128i *>(parts + i), p32);
         const std::uint32_t u = static_cast<std::uint32_t>(
             _mm_movemask_ps(_mm_castsi128_ps(
                 _mm_cmpeq_epi32(p32, unmanaged_part))));
@@ -184,15 +219,64 @@ classifyAvx2(const Line *lines, const Candidate *cands, std::uint32_t n,
         const Line &line = lines[cands[i].slot];
         parts[i] = line.part;
         ranks[i] = line.rank;
-        if (line.addr != kInvalidAddr) {
-            valid |= std::uint64_t{1} << i;
+        valid |= std::uint64_t{line.addr != kInvalidAddr} << i;
+        unmanaged |= std::uint64_t{line.part == kUnmanagedPart} << i;
+    }
+    out->valid = valid;
+    out->unmanaged = unmanaged;
+
+    // Phase 2: peel partitions off the part plane, one compare per 8
+    // lanes, and judge each whole: the lanes up to its first event are
+    // counted with one popcount. Counting lane by lane instead chains
+    // every lane of a partition through its CandsSeen in memory,
+    // which dominates when a few partitions own most candidates. Once
+    // a peeled partition is small, the remaining lanes belong to many
+    // small partitions and are judged one by one (judgeLane()).
+    scalar::JudgeAcc acc;
+    const std::uint32_t blocks = (n + 7) / 8;
+    std::uint64_t rest = valid & ~unmanaged;
+    while (rest != 0) {
+        const auto first = static_cast<std::uint32_t>(__builtin_ctzll(rest));
+        const PartId part = parts[first];
+        const __m256i want = _mm256_set1_epi32(static_cast<int>(part));
+        std::uint64_t lanes = 0;
+        for (std::uint32_t b = first / 8; b < blocks; ++b) {
+            const __m256i v = _mm256_load_si256(
+                reinterpret_cast<const __m256i *>(parts + 8 * b));
+            lanes |= static_cast<std::uint64_t>(
+                         static_cast<std::uint32_t>(_mm256_movemask_ps(
+                             _mm256_castsi256_ps(
+                                 _mm256_cmpeq_epi32(v, want)))))
+                     << (8 * b);
         }
-        if (line.part == kUnmanagedPart) {
-            unmanaged |= std::uint64_t{1} << i;
+        lanes &= rest;
+        rest &= ~lanes;
+        if (part >= num_parts) {
+            acc.stray |= lanes;
+        } else {
+            JudgeRegs &r = regs[part];
+            const std::uint64_t d = demotableLanesAvx2(ranks, lanes, r);
+            const std::uint64_t ev =
+                d | adjustLane(lanes, r.candsSeen, c);
+            const std::uint64_t upto =
+                ev == 0 ? ~std::uint64_t{0} : ((ev & (~ev + 1)) << 1) - 1;
+            r.candsSeen += static_cast<std::uint32_t>(
+                __builtin_popcountll(lanes & upto));
+            lane_scratch[part] = lanes & ~upto;
+            acc.events |= ev & (~ev + 1);
+            acc.demotable |= d & (ev & (~ev + 1));
+        }
+        if (__builtin_popcountll(lanes) < 4) {
+            break;
         }
     }
-    *valid_mask = valid;
-    *unmanaged_mask = unmanaged;
+    for (; rest != 0; rest &= rest - 1) {
+        const auto k = static_cast<std::uint32_t>(__builtin_ctzll(rest));
+        scalar::judgeLane(parts[k], ranks[k], k, c, regs, num_parts,
+                          lane_scratch, acc);
+    }
+    scalar::judgeFinish(
+        acc, lane_scratch, [&](std::uint32_t k) { return parts[k]; }, out);
 }
 
 /** True when the candidate slots are s0, s0+1, ..., s0+n-1. */
@@ -379,7 +463,7 @@ xorRows8Avx2(const std::uint32_t *walk_tables, Addr addr,
 } // namespace
 
 const Ops kAvx2Ops = {
-    &findTagAvx2,    &findTagAtAvx2,     &classifyAvx2,
+    &findTagAvx2,    &findTagAtAvx2,     &judgeAvx2,
     &oldestRankAvx2, &minLastAccessAvx2, &xorRows8Avx2,
 };
 

@@ -4,7 +4,7 @@
  *
  * NEON is baseline on AArch64, so no function-level target attributes
  * are needed. NEON has no gather instructions: the scatter-indexed
- * kernels (zcache lookup, candidate classification, the LRU folds
+ * kernels (zcache lookup, the demotion judge, the LRU folds
  * over scattered slots) reuse the scalar references from kernels.h —
  * their loads are pointer-chases either way, and sharing the code
  * guarantees parity by construction. The kernels that stream
@@ -70,7 +70,7 @@ xorRows8Neon(const std::uint32_t *walk_tables, Addr addr,
 
 const Ops kNeonOps = {
     &findTagNeon,        &scalar::findTagAt,
-    &scalar::classify,   &scalar::oldestRank,
+    &scalar::judge,      &scalar::oldestRank,
     &scalar::minLastAccess, &xorRows8Neon,
 };
 

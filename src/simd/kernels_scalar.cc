@@ -3,7 +3,7 @@
 namespace vantage::simd {
 
 const Ops kScalarOps = {
-    &scalar::findTag,   &scalar::findTagAt,     &scalar::classify,
+    &scalar::findTag,    &scalar::findTagAt,     &scalar::judge,
     &scalar::oldestRank, &scalar::minLastAccess, &scalar::xorRows8,
 };
 

@@ -66,6 +66,14 @@ expect_error("bank lines not divisible by zcache ways"
 expect_error("bank lines not divisible by set-assoc ways"
     "32 lines not divisible by 64 ways"
     --banks 1024 --array sa64)
+# A bank whose managed region holds fewer lines than partitions: the
+# Vantage controller would assert on it.
+expect_error("vantage bank smaller than its partitions"
+    "4 managed lines of 4 are fewer than 32 partitions"
+    --array z4-16 --l2-lines 4096 --banks 1024 --cores 32 --mix 5)
+expect_error("serve slots exceed a vantage bank"
+    "are fewer than 1024 partitions"
+    --l2-lines 4096 --banks 4 --max-tenants 1024 --lifecycle 1000)
 # The removed in-simulation bank-worker option is an unknown option.
 expect_error("removed worker option" "unknown option '--shard-workers'"
     --shard-workers 2)

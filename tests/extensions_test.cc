@@ -1,9 +1,8 @@
 /**
  * @file
  * Tests for the extension features: trace replay, dirty-line /
- * writeback modeling, churn throttling (Sec. 3.4 option 2), the
- * Vantage-LFU setpoint variant (Sec. 4.2), and gradual resizing
- * (Sec. 3.4 transients).
+ * writeback modeling, churn throttling (Sec. 3.4 option 2), and
+ * gradual resizing (Sec. 3.4 transients).
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +16,7 @@
 #include "cache/cache.h"
 #include "common/rng.h"
 #include "core/resizer.h"
-#include "core/vantage_variants.h"
+#include "core/vantage.h"
 #include "partition/unpartitioned.h"
 #include "replacement/lru.h"
 #include "sim/cmp_sim.h"
@@ -255,69 +254,6 @@ TEST(ChurnThrottle, InactiveBelowSlackBand)
                      0);
     }
     EXPECT_EQ(c.partStats(0).throttledInserts, 0u);
-}
-
-// ---------------------------------------------------------------
-// VantageLfu (Sec. 4.2 generality)
-// ---------------------------------------------------------------
-
-TEST(VantageLfu, SizesConverge)
-{
-    constexpr std::size_t kLines = 8192;
-    VantageConfig cfg;
-    cfg.numPartitions = 4;
-    cfg.unmanagedFraction = 0.15;
-    auto ctl = std::make_unique<VantageLfu>(kLines, cfg);
-    VantageController &c = *ctl;
-    Cache cache(std::make_unique<RandomArray>(kLines, 52, 3),
-                std::move(ctl), "l2");
-    Rng rng(13);
-    for (int round = 0; round < 150; ++round) {
-        for (PartId p = 0; p < 4; ++p) {
-            const Addr space = static_cast<Addr>(p + 1) << 40;
-            for (int i = 0; i < 500; ++i) {
-                cache.access(space | (rng.next() >> 16), p);
-            }
-        }
-    }
-    for (PartId p = 0; p < 4; ++p) {
-        const auto target = static_cast<double>(c.targetSize(p));
-        const auto actual = static_cast<double>(c.actualSize(p));
-        EXPECT_GE(actual, target * 0.90);
-        EXPECT_LE(actual, target * (1.0 + cfg.slack) + 128.0);
-    }
-}
-
-TEST(VantageLfu, KeepsHotLinesDemotesCold)
-{
-    constexpr std::size_t kLines = 8192;
-    VantageConfig cfg;
-    cfg.numPartitions = 1;
-    cfg.unmanagedFraction = 0.3;
-    auto ctl = std::make_unique<VantageLfu>(kLines, cfg);
-    VantageLfu &c = *ctl;
-    Cache cache(std::make_unique<RandomArray>(kLines, 52, 3),
-                std::move(ctl), "l2");
-    Rng rng(17);
-    const std::uint64_t hot = 512;
-    // Hot lines get many hits; a cold stream overflows the target.
-    for (int i = 0; i < 400000; ++i) {
-        cache.access((1ull << 40) | rng.range(hot), 0);
-        cache.access((2ull << 40) | (rng.next() >> 16), 0);
-    }
-    // The hot set keeps hitting despite the partition being over
-    // target the whole time (cold lines get demoted instead).
-    cache.resetStats();
-    for (std::uint64_t a = 0; a < hot; ++a) {
-        cache.access((1ull << 40) | a, 0);
-    }
-    const auto &s = cache.partAccessStats(0);
-    EXPECT_GT(static_cast<double>(s.hits) /
-                  static_cast<double>(s.accesses()),
-              0.9);
-    // The cold stream (inserted at frequency 0) satisfies the
-    // demotion demand, so the setpoint frequency stays low.
-    EXPECT_LE(c.setpointFreq(0), 8u);
 }
 
 // ---------------------------------------------------------------

@@ -34,7 +34,8 @@
  * of Z4/52 zcaches instead of a single flat cache. The option is
  * applied after the seed-derived case is drawn, so it never perturbs
  * the rng sequences: `--seed S` replays the same addresses with and
- * without banking.
+ * without banking. Partition counts are clamped to what one bank can
+ * hold.
  *
  * --simd-compare replays each case once per available SIMD dispatch
  * level (scalar first, then every vector backend the host supports),
@@ -58,6 +59,7 @@
 #include "cache/cache.h"
 #include "common/digest.h"
 #include "common/rng.h"
+#include "core/vantage.h"
 #include "sim/experiment.h"
 #include "simd/simd.h"
 
@@ -138,8 +140,14 @@ makeCase(std::uint64_t seed, std::uint64_t accesses)
     }
 
     fc.spec.lines = 1024ull << rng.range(3); // 1K..8K lines.
-    fc.spec.numPartitions =
-        1 + static_cast<std::uint32_t>(rng.range(8));
+    // The Vantage family draws up to 32 partitions, so the demotion
+    // judge sees more partitions than one vector of lanes holds.
+    const bool vantage_family =
+        fc.spec.scheme == SchemeKind::Vantage ||
+        fc.spec.scheme == SchemeKind::VantageDrrip ||
+        fc.spec.scheme == SchemeKind::VantageOracle;
+    fc.spec.numPartitions = 1 + static_cast<std::uint32_t>(
+                                    rng.range(vantage_family ? 32 : 8));
     // Way-granular schemes cannot hold more partitions than ways.
     if (fc.spec.scheme == SchemeKind::WayPart ||
         fc.spec.scheme == SchemeKind::Pipp) {
@@ -389,8 +397,14 @@ forceBanks(FuzzCase &fc, std::uint32_t banks)
     }
     if (fc.spec.scheme == SchemeKind::WayPart) {
         fc.spec.numPartitions = std::min(fc.spec.numPartitions, 4u);
-        fc.spec.vantage.numPartitions = fc.spec.numPartitions;
     }
+    // A Vantage bank needs a managed line per partition.
+    const std::uint64_t managed = VantageController::managedLinesFor(
+        fc.spec.lines / banks, fc.spec.vantage.unmanagedFraction);
+    fc.spec.numPartitions = static_cast<std::uint32_t>(std::max<
+        std::uint64_t>(1, std::min<std::uint64_t>(fc.spec.numPartitions,
+                                                  managed)));
+    fc.spec.vantage.numPartitions = fc.spec.numPartitions;
 }
 
 /** Minimize and print a failing case; never returns success. */

@@ -16,13 +16,17 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "array/set_assoc.h"
 #include "array/zarray.h"
+#include "cache/cache.h"
 #include "common/digest.h"
 #include "common/hp_alloc.h"
 #include "common/rng.h"
+#include "core/vantage.h"
+#include "obs/audit.h"
 #include "sim/experiment.h"
 #include "simd/kernels.h"
 #include "simd/simd.h"
@@ -160,34 +164,182 @@ TEST(SimdKernelParity, FindTagAtMatchesScalarAtEveryLevel)
     }
 }
 
-TEST(SimdKernelParity, ClassifyMatchesScalarAtEveryLevel)
+/**
+ * A candidate list over `num_parts` partitions for the judge kernel:
+ * invalid, unmanaged and managed lanes, a few lanes with an
+ * out-of-range partition (stray), and ranks over the whole 8-bit
+ * range so every keep-window threshold bites.
+ */
+struct JudgePlane
+{
+    std::vector<Line> lines;
+    CandidateBuf cands;
+    std::vector<simd::JudgeRegs> regs;
+
+    JudgePlane(Rng &rng, std::uint32_t n, std::uint32_t num_parts,
+               std::uint32_t c)
+        : lines(n + 7), regs(num_parts)
+    {
+        // A few partitions dominate, like a skewed mix.
+        const std::uint32_t hot =
+            1 + static_cast<std::uint32_t>(rng.range(num_parts));
+        for (Line &line : lines) {
+            const std::uint32_t kind = rng.range(16);
+            line.addr = rng.next() | 1; // Never kInvalidAddr.
+            line.rank = static_cast<std::uint8_t>(rng.range(256));
+            if (kind == 0) {
+                line.invalidate();
+            } else if (kind == 1) {
+                line.part = kUnmanagedPart;
+            } else if (kind == 2 && rng.range(8) == 0) {
+                line.part = num_parts + static_cast<PartId>(rng.range(3));
+            } else {
+                line.part = static_cast<PartId>(
+                    rng.range(kind < 8 ? hot : num_parts));
+            }
+        }
+        // Scatter the candidates over the plane, each slot once.
+        std::vector<LineId> slots(lines.size());
+        for (LineId i = 0; i < slots.size(); ++i) {
+            slots[i] = i;
+        }
+        for (std::uint32_t i = 0; i < n; ++i) {
+            const auto j = i + static_cast<std::uint32_t>(
+                                   rng.range(slots.size() - i));
+            std::swap(slots[i], slots[j]);
+            cands.push_back({slots[i], -1});
+        }
+        for (simd::JudgeRegs &r : regs) {
+            switch (rng.range(4)) {
+              case 0:
+                r.threshold = 256; // At or under target.
+                break;
+              case 1:
+                r.threshold = 0; // Target 0 (retired): drain all.
+                break;
+              default:
+                r.threshold =
+                    static_cast<std::uint16_t>(rng.range(256));
+                break;
+            }
+            r.setpoint = static_cast<std::uint8_t>(rng.range(256));
+            // Often one lane short of c.
+            r.candsSeen = rng.range(3) == 0
+                              ? c - 1
+                              : static_cast<std::uint32_t>(rng.range(c));
+        }
+    }
+};
+
+/** The judge's contract, spelled out lane by lane. */
+void
+naiveJudge(const JudgePlane &plane, std::uint32_t c,
+           std::vector<simd::JudgeRegs> &regs,
+           std::vector<std::uint64_t> &scratch, simd::Judgement &out)
+{
+    out = simd::Judgement{};
+    std::vector<bool> held(regs.size(), false);
+    for (std::uint32_t i = 0; i < plane.cands.size(); ++i) {
+        const Line &line = plane.lines[plane.cands[i].slot];
+        const std::uint64_t bit = std::uint64_t{1} << i;
+        if (line.part == kUnmanagedPart) {
+            out.unmanaged |= bit;
+        }
+        if (!line.valid()) {
+            continue;
+        }
+        out.valid |= bit;
+        if (line.part == kUnmanagedPart) {
+            continue;
+        }
+        if (line.part >= regs.size()) {
+            out.stray |= bit;
+            continue;
+        }
+        if (held[line.part]) {
+            scratch[line.part] |= bit;
+            continue;
+        }
+        simd::JudgeRegs &r = regs[line.part];
+        ++r.candsSeen;
+        const bool dem = simd::demotableRank(line.rank, r);
+        if (dem || r.candsSeen >= c) {
+            held[line.part] = true;
+            out.events |= bit;
+            out.demotable |= dem ? bit : 0;
+        }
+    }
+}
+
+TEST(SimdKernelParity, JudgeMatchesScalarAtEveryLevel)
 {
     Rng rng(0xc1a5);
-    for (const simd::Level lvl : availableLevels()) {
-        const simd::Ops &ops = *simd::opsFor(lvl);
+    constexpr std::uint32_t kC = 16;
+    for (const std::uint32_t num_parts : {1u, 4u, 8u, 9u, 32u}) {
         for (int iter = 0; iter < 300; ++iter) {
             const std::uint32_t n =
                 1 + static_cast<std::uint32_t>(rng.range(64));
-            FuzzPlane plane(rng, 512, n);
-            std::uint32_t parts_v[CandidateBuf::kCapacity];
-            std::uint8_t ranks_v[CandidateBuf::kCapacity];
-            std::uint64_t valid_v = 0, unman_v = 0;
-            std::uint32_t parts_s[CandidateBuf::kCapacity];
-            std::uint8_t ranks_s[CandidateBuf::kCapacity];
-            std::uint64_t valid_s = 0, unman_s = 0;
-            ops.classify(plane.lines.data(), plane.cands.data(), n,
-                         parts_v, ranks_v, &valid_v, &unman_v);
-            simd::scalar::classify(plane.lines.data(),
-                                   plane.cands.data(), n, parts_s,
-                                   ranks_s, &valid_s, &unman_s);
-            EXPECT_EQ(valid_v, valid_s)
-                << "level " << simd::levelName(lvl);
-            EXPECT_EQ(unman_v, unman_s)
-                << "level " << simd::levelName(lvl);
-            EXPECT_EQ(0, std::memcmp(parts_v, parts_s,
-                                     n * sizeof(std::uint32_t)));
-            EXPECT_EQ(0, std::memcmp(ranks_v, ranks_s, n));
+            const JudgePlane plane(rng, n, num_parts, kC);
+            std::vector<simd::JudgeRegs> want_regs = plane.regs;
+            std::vector<std::uint64_t> want_scratch(num_parts, 0);
+            simd::Judgement want;
+            naiveJudge(plane, kC, want_regs, want_scratch, want);
+            for (const simd::Level lvl : availableLevels()) {
+                std::vector<simd::JudgeRegs> regs = plane.regs;
+                std::vector<std::uint64_t> scratch(num_parts, 0);
+                simd::Judgement got;
+                simd::opsFor(lvl)->judge(plane.lines.data(),
+                                         plane.cands.data(), n, kC,
+                                         regs.data(), num_parts,
+                                         scratch.data(), &got);
+                const std::string what =
+                    std::string("level ") + simd::levelName(lvl) +
+                    " P=" + std::to_string(num_parts) + " n=" +
+                    std::to_string(n) + " iter " + std::to_string(iter);
+                EXPECT_EQ(want.valid, got.valid) << what;
+                EXPECT_EQ(want.unmanaged, got.unmanaged) << what;
+                EXPECT_EQ(want.stray, got.stray) << what;
+                EXPECT_EQ(want.events, got.events) << what;
+                EXPECT_EQ(want.demotable, got.demotable) << what;
+                EXPECT_EQ(want_scratch, scratch) << what;
+                for (std::uint32_t p = 0; p < num_parts; ++p) {
+                    EXPECT_EQ(want_regs[p].candsSeen, regs[p].candsSeen)
+                        << what;
+                }
+            }
         }
+    }
+}
+
+/** The controller's re-judge helpers against their definitions. */
+TEST(SimdKernelParity, RejudgeHelpersMatchTheirDefinitions)
+{
+    Rng rng(0x7e1d);
+    for (int iter = 0; iter < 500; ++iter) {
+        const std::uint32_t n =
+            1 + static_cast<std::uint32_t>(rng.range(64));
+        const JudgePlane plane(rng, n, 4, 16);
+        const std::uint64_t lanes =
+            rng.next() & (n >= 64 ? ~0ull : (1ull << n) - 1);
+        const simd::JudgeRegs &r = plane.regs[rng.range(4)];
+        std::uint64_t want_d = 0;
+        std::uint64_t want_a = 0;
+        std::uint32_t seen = r.candsSeen;
+        for (std::uint32_t i = 0; i < n; ++i) {
+            if (((lanes >> i) & 1) == 0) {
+                continue;
+            }
+            if (simd::demotableRank(
+                    plane.lines[plane.cands[i].slot].rank, r)) {
+                want_d |= 1ull << i;
+            }
+            if (++seen == 16) {
+                want_a = 1ull << i;
+            }
+        }
+        EXPECT_EQ(want_d, simd::judgeLanes(plane.lines.data(),
+                                           plane.cands.data(), lanes, r));
+        EXPECT_EQ(want_a, simd::adjustLane(lanes, r.candsSeen, 16));
     }
 }
 
@@ -285,6 +437,226 @@ TEST(SimdParity, ZArrayWay8WalkIsLevelInvariant)
                 EXPECT_EQ(cands_s[i].slot, cands_v[i].slot);
                 EXPECT_EQ(cands_s[i].parent, cands_v[i].parent);
             }
+        }
+    }
+}
+
+/**
+ * A Vantage controller that records every victim it picks. With
+ * `lane_by_lane` it is the plain serial scan the event-driven commit
+ * must reproduce: fastDemote_ off, so the commit body visits every
+ * managed lane and judges it through shouldDemote(), and the
+ * forced-eviction fallback calls demotionPriority() per candidate.
+ */
+class RecordingVantage : public VantageController
+{
+  public:
+    RecordingVantage(std::size_t lines, const VantageConfig &cfg,
+                     bool lane_by_lane)
+        : VantageController(lines, cfg), laneByLane_(lane_by_lane)
+    {
+        if (lane_by_lane) {
+            useDemotionHooks();
+        }
+    }
+
+    void
+    groupPriorities(const PartState &ps, std::uint64_t lanes,
+                    const Line *lines, const Candidate *cands,
+                    double *prio) const override
+    {
+        if (!laneByLane_) {
+            VantageController::groupPriorities(ps, lanes, lines, cands,
+                                               prio);
+            return;
+        }
+        for (std::uint64_t m = lanes; m != 0; m &= m - 1) {
+            const int i = __builtin_ctzll(m);
+            prio[i] = demotionPriority(ps, lines[cands[i].slot].rank);
+        }
+    }
+
+    VictimChoice
+    selectVictim(CacheArray &array, PartId inserting, Addr addr,
+                 const CandidateBuf &cands) override
+    {
+        const VictimChoice c =
+            VantageController::selectVictim(array, inserting, addr, cands);
+        victims.push_back(c.candIdx);
+        return c;
+    }
+
+    std::vector<std::int32_t> victims;
+
+    /**
+     * groupPriorities() for a whole candidate list against the
+     * per-candidate demotionPriority() it stands for; returns the
+     * number of managed lanes compared.
+     */
+    std::uint32_t
+    expectPrioritiesMatch(const CacheArray &array,
+                          const CandidateBuf &cands) const
+    {
+        const Line *lines = array.linesData();
+        std::uint64_t lanes_of[64] = {};
+        for (std::uint32_t i = 0; i < cands.size(); ++i) {
+            const Line &line = lines[cands[i].slot];
+            if (line.valid() && line.part < numPartitions()) {
+                lanes_of[line.part] |= std::uint64_t{1} << i;
+            }
+        }
+        std::uint32_t compared = 0;
+        for (PartId p = 0; p < numPartitions(); ++p) {
+            double prio[CandidateBuf::kCapacity];
+            VantageController::groupPriorities(parts_[p], lanes_of[p],
+                                               lines, cands.data(), prio);
+            for (std::uint64_t m = lanes_of[p]; m != 0; m &= m - 1) {
+                const int i = __builtin_ctzll(m);
+                EXPECT_EQ(demotionPriority(parts_[p],
+                                           lines[cands[i].slot].rank),
+                          prio[i]);
+                ++compared;
+            }
+        }
+        return compared;
+    }
+
+  private:
+    bool laneByLane_;
+};
+
+/** Everything a scan run decides, for exact comparison. */
+struct ScanRun
+{
+    std::vector<std::int32_t> victims;
+    std::vector<std::uint64_t> regs;
+    std::vector<std::uint64_t> audit;
+};
+
+/**
+ * Drive a Vantage Z4/52 cache through skewed per-partition streams,
+ * retargeting (sometimes to 0, a retired slot) every few thousand
+ * accesses, with a small c so setpoints move often.
+ */
+ScanRun
+runScan(std::uint32_t num_parts, bool lane_by_lane)
+{
+    constexpr std::size_t kLines = 4096;
+    VantageConfig cfg;
+    cfg.numPartitions = num_parts;
+    // A small unmanaged region leaves many candidate lists with no
+    // unmanaged line, so the forced-eviction fallback runs often.
+    cfg.unmanagedFraction = 0.02;
+    cfg.candsPerAdjust = 24;
+    auto ctl =
+        std::make_unique<RecordingVantage>(kLines, cfg, lane_by_lane);
+    RecordingVantage &v = *ctl;
+    DecisionAudit audit(1 << 16);
+    v.attachAudit(&audit);
+    Cache cache(std::make_unique<ZArray>(kLines, 4, 52, 7),
+                std::move(ctl), "l2");
+    Rng rng(0x5ca9 + num_parts);
+    for (int i = 0; i < 60'000; ++i) {
+        // Half the stream goes to partition 0.
+        const bool skew = rng.range(2) == 0;
+        const auto part =
+            skew ? PartId{0} : static_cast<PartId>(rng.range(num_parts));
+        const Addr space = static_cast<Addr>(part + 1) << 40;
+        // Footprints beyond the cache, so every run evicts.
+        cache.access(space | rng.range(5000 + 1000 * (part % 4)), part);
+        if (i % 4000 == 3999) {
+            // Hand out the whole managed region (so candidate lists
+            // often hold no unmanaged line), some slots retired.
+            std::vector<std::uint64_t> targets(num_parts);
+            std::uint64_t left = v.managedLines();
+            for (auto &t : targets) {
+                t = rng.range(5) == 0 ? 0 : rng.range(left / 2 + 1);
+                left -= t;
+            }
+            targets[rng.range(num_parts)] += left;
+            v.setTargetLines(targets);
+        }
+    }
+    InvariantReport rep;
+    cache.checkInvariants(rep);
+    EXPECT_TRUE(rep.ok()) << rep.summary();
+
+    ScanRun run;
+    run.victims = v.victims;
+    const VantageStats &st = v.stats();
+    run.regs = {st.evictions, st.evictionsFromManaged, st.demotions,
+                st.promotions, st.setpointAdjusts, v.unmanagedSize()};
+    for (PartId p = 0; p < num_parts; ++p) {
+        const VantagePartStats &ps = v.partStats(p);
+        run.regs.insert(run.regs.end(),
+                        {ps.demotions, ps.promotions, ps.hits,
+                         ps.insertions, ps.forcedEvictions,
+                         v.actualSize(p), v.setpointTs(p),
+                         v.currentTs(p)});
+    }
+    audit.forEach([&](const DecisionRecord &r) {
+        run.audit.insert(run.audit.end(),
+                         {r.seq, r.accessesSeen,
+                          static_cast<std::uint64_t>(r.kind), r.part,
+                          r.targetLines, r.actualLines, r.apertureBp,
+                          r.setpointTs, r.currentTs, r.candsSeen,
+                          r.candsDemoted});
+    });
+    return run;
+}
+
+/**
+ * The forced-eviction fallback scores a partition's candidates from
+ * one running sum; every score must equal demotionPriority() of that
+ * candidate exactly (same integers, same double division).
+ */
+TEST(SimdParity, GroupPrioritiesMatchDemotionPriority)
+{
+    constexpr std::size_t kLines = 4096;
+    VantageConfig cfg;
+    cfg.numPartitions = 8;
+    auto ctl = std::make_unique<RecordingVantage>(kLines, cfg, false);
+    RecordingVantage &v = *ctl;
+    Cache cache(std::make_unique<ZArray>(kLines, 4, 52, 9),
+                std::move(ctl), "l2");
+    Rng rng(0x9a1);
+    std::uint32_t compared = 0;
+    for (int i = 0; i < 40'000; ++i) {
+        const auto part = static_cast<PartId>(rng.range(8));
+        cache.access((static_cast<Addr>(part + 1) << 40) |
+                         rng.range(1500),
+                     part);
+        if (i % 100 == 99) {
+            CandidateBuf cands;
+            cache.array().candidates(rng.next() | 1, cands);
+            compared += v.expectPrioritiesMatch(cache.array(), cands);
+        }
+    }
+    EXPECT_GT(compared, 10'000u);
+}
+
+/**
+ * Controller-level parity of the event-driven demotion scan: at every
+ * dispatch level, and against the lane-by-lane serial commit, the
+ * same stream must pick the same victims and end with the same
+ * counters, Fig. 4 registers and decision-audit records.
+ */
+TEST(SimdParity, EventDrivenScanMatchesLaneByLaneCommit)
+{
+    LevelGuard guard;
+    for (const std::uint32_t num_parts : {1u, 4u, 9u, 32u}) {
+        ASSERT_TRUE(simd::setLevelForTest(simd::Level::Scalar));
+        const ScanRun want = runScan(num_parts, /*lane_by_lane=*/true);
+        EXPECT_GT(want.audit.size(), 0u);
+        for (const simd::Level lvl : availableLevels()) {
+            ASSERT_TRUE(simd::setLevelForTest(lvl));
+            const ScanRun got = runScan(num_parts, false);
+            const std::string what = std::string("level ") +
+                                     simd::levelName(lvl) + " P=" +
+                                     std::to_string(num_parts);
+            EXPECT_EQ(want.victims, got.victims) << what;
+            EXPECT_EQ(want.regs, got.regs) << what;
+            EXPECT_EQ(want.audit, got.audit) << what;
         }
     }
 }
